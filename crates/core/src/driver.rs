@@ -184,16 +184,18 @@ pub(crate) fn tune_with_config(kernel: Kernel, cfg: &TuneConfig) -> Result<TuneO
         workload: &workload,
         context,
     };
+    // One run of the recompiled winner gives both the final timing (the
+    // paper timer protocol over its cycle count) and its counter vector.
     let final_span = tune_span.child("final-time");
-    let cycles = cfg.final_timer.time(&compiled, &args, machine);
+    let out = crate::runner::run_once(&compiled, &args, machine);
     drop(final_span);
-    let cycles = cycles.map_err(|e| TuneError(format!("{}: {e}", kernel.name())))?;
+    let out = out.map_err(|e| TuneError(format!("{}: {e}", kernel.name())))?;
+    count_run(&reg, &out.stats);
+    let cycles = cfg
+        .final_timer
+        .min_of_reps(out.stats.cycles, &compiled.name);
     let mflops = flops_rate(kernel, n, cycles, machine);
-    // One clean run of the winner for its counter vector; the simulator
-    // is deterministic, so this costs one simulation, not a re-tune.
-    let features = crate::runner::run_once(&compiled, &args, machine)
-        .map(|out| FeatureVector::from_stats(&out.stats, n as u64))
-        .map_err(|e| TuneError(format!("{}: winner failed to run: {e}", kernel.name())))?;
+    let features = FeatureVector::from_stats(&out.stats, n as u64);
 
     // Persist the verified winner — unless this run itself was answered
     // by the database (re-storing would overwrite the finder's name).
@@ -263,14 +265,24 @@ pub(crate) fn defaults_with_config(kernel: Kernel, cfg: &TuneConfig) -> Result<u
         workload: &workload,
         context,
     };
-    // Verify, then time.
+    // Run, verify, then time that same run.
     let out =
         crate::runner::run_once(&compiled, &args, machine).map_err(|e| TuneError(e.to_string()))?;
+    count_run(
+        &cfg.metrics.clone().unwrap_or_else(metrics::global),
+        &out.stats,
+    );
     crate::tester::verify(kernel, &workload, &out)
         .map_err(|e| TuneError(format!("{} defaults failed verify: {e}", kernel.name())))?;
-    cfg.final_timer
-        .time(&compiled, &args, machine)
-        .map_err(|e| TuneError(e.to_string()))
+    Ok(cfg
+        .final_timer
+        .min_of_reps(out.stats.cycles, &compiled.name))
+}
+
+/// Count one simulation outside the engine (see [`metrics::XSIM_RUNS`]).
+pub(crate) fn count_run(reg: &metrics::MetricsRegistry, stats: &ifko_xsim::RunStats) {
+    reg.counter(metrics::XSIM_RUNS).inc();
+    reg.counter(metrics::XSIM_INSTS).add(stats.insts);
 }
 
 /// MFLOPS for a kernel run (paper Figure 5 metric).
@@ -284,6 +296,7 @@ mod tests {
     use ifko_blas::ops::BlasOp;
     use ifko_xsim::isa::Prec;
     use ifko_xsim::{opteron, p4e};
+    use std::sync::Arc;
 
     #[test]
     fn tune_ddot_beats_or_matches_defaults() {
@@ -328,6 +341,39 @@ mod tests {
         assert_eq!(d1, d2);
         let tuned = cfg.tune(k).unwrap();
         assert!(tuned.cycles <= d1);
+    }
+
+    /// One simulation per fresh candidate and one per final timing; a
+    /// warm re-tune over a resident cache and db simulates only the
+    /// final timing.
+    #[test]
+    fn tunes_count_one_simulation_per_fresh_candidate_plus_final() {
+        let k = Kernel {
+            op: BlasOp::Dot,
+            prec: Prec::D,
+        };
+        let dir = std::env::temp_dir().join(format!("ifko-xsim-runs-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = TuneConfig::quick(1024)
+            .context(Context::InL2)
+            .tuned_db(&dir)
+            .unwrap();
+        let count = |reg: &metrics::MetricsRegistry, name| reg.counter(name).get();
+
+        let cold = Arc::new(metrics::MetricsRegistry::new());
+        let first = cfg.clone().metrics(cold.clone()).tune(k).unwrap();
+        let fresh = count(&cold, metrics::ENGINE_EVALS);
+        assert!(fresh > 0);
+        assert_eq!(count(&cold, metrics::XSIM_RUNS), fresh + 1);
+        assert!(count(&cold, metrics::XSIM_INSTS) > 0);
+
+        let warm = Arc::new(metrics::MetricsRegistry::new());
+        let again = cfg.metrics(warm.clone()).tune(k).unwrap();
+        assert_eq!(again.result.strategy, STRATEGY_WARM);
+        assert_eq!(count(&warm, metrics::ENGINE_EVALS), 0);
+        assert_eq!(count(&warm, metrics::XSIM_RUNS), 1);
+        assert_eq!(again.cycles, first.cycles);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -44,8 +44,9 @@
 
 use ifko_fko::{Reject, TransformParams};
 use ifko_xsim::{MachineConfig, RunStats};
-use std::collections::{HashMap, VecDeque};
-use std::io::{BufRead, Write};
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::hash::Hasher;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -573,21 +574,38 @@ impl Drop for JsonlSink {
 
 const SHARDS: usize = 16;
 
+/// 128-bit in-memory identity of a point key: two independent 64-bit
+/// hashes of its bytes (FNV-1a high, fixed-key SipHash low). The
+/// collision bound is stated in DESIGN.md's EvalCache section.
+fn key_digest(key: &str) -> u128 {
+    let mut sip = std::collections::hash_map::DefaultHasher::new();
+    sip.write(key.as_bytes());
+    ((fnv64(key.as_bytes()) as u128) << 64) | sip.finish() as u128
+}
+
 /// A sharded map from evaluation keys to outcomes (`None` = the point was
 /// rejected by compilation or the tester). Optionally mirrored to an
 /// append-only JSONL file so separate processes share points.
+///
+/// In memory a point is held by its 128-bit [`key_digest`], not its key
+/// string (~500 bytes for a HIL scope), so a long-lived daemon's cache
+/// grows by a fixed 32 bytes per point. The journal keeps full keys.
 ///
 /// Occupancy and persistence-write latency are reported to the global
 /// metrics registry (`ifko_cache_points`, `ifko_cache_inserts_total`,
 /// `ifko_cache_persist_write_us`).
 pub struct EvalCache {
-    shards: Vec<Mutex<HashMap<String, Option<u64>>>>,
+    shards: Vec<Mutex<HashMap<u128, Option<u64>>>>,
     disk: Option<Mutex<std::io::BufWriter<std::fs::File>>>,
     path: Option<PathBuf>,
     /// The on-disk journal is known to hold malformed/truncated records
     /// (detected on load, or left by an injected persist fault). The next
     /// store repairs it with an atomic rewrite instead of appending.
     dirty: AtomicBool,
+    /// Records this process stored that the journal does not hold intact
+    /// (torn appends, stores waiting on a failed repair). A repair
+    /// rewrites the journal's well-formed lines plus these.
+    pending: Mutex<Vec<(String, Option<u64>)>>,
     m_points: Arc<Gauge>,
     m_inserts: Arc<Counter>,
     m_persist_us: Arc<Histogram>,
@@ -608,6 +626,7 @@ impl EvalCache {
             disk: None,
             path: None,
             dirty: AtomicBool::new(false),
+            pending: Mutex::new(Vec::new()),
             m_points: reg.gauge(metrics::CACHE_POINTS),
             m_inserts: reg.counter(metrics::CACHE_INSERTS),
             m_persist_us: reg.histogram(metrics::CACHE_PERSIST_WRITE_US, metrics::US_BUCKETS),
@@ -620,29 +639,18 @@ impl EvalCache {
     ///
     /// Malformed records — typically one truncated trailing line from a
     /// crash mid-append — are skipped with a diagnostic; the journal is
-    /// then repaired (atomic tmp + rename rewrite of the surviving
-    /// entries) on the next store.
+    /// then repaired (atomic tmp + rename rewrite of the well-formed
+    /// records) on the next store.
     pub fn persistent(dir: impl AsRef<Path>) -> std::io::Result<EvalCache> {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)?;
         let path = dir.join("evals.jsonl");
-        let mut cache = EvalCache::new();
-        let mut warm = 0u64;
-        let mut malformed = 0u64;
-        if let Ok(file) = std::fs::File::open(&path) {
-            for line in std::io::BufReader::new(file).lines() {
-                let Ok(line) = line else { break };
-                if line.trim().is_empty() {
-                    continue;
-                }
-                if let Some((key, val)) = parse_cache_line(&line) {
-                    cache.insert_mem(key, val);
-                    warm += 1;
-                } else {
-                    malformed += 1;
-                }
-            }
+        let cache = EvalCache::new();
+        let (entries, malformed) = read_journal(&path);
+        for (key, val) in &entries {
+            cache.insert_mem(key, *val);
         }
+        let warm = entries.len() as u64;
         if warm > 0 {
             metrics::global()
                 .counter(metrics::CACHE_WARM_LOADED)
@@ -663,21 +671,25 @@ impl EvalCache {
             .create(true)
             .append(true)
             .open(&path)?;
-        cache.disk = Some(Mutex::new(std::io::BufWriter::new(file)));
-        cache.path = Some(path);
-        Ok(cache)
+        Ok(EvalCache {
+            disk: Some(Mutex::new(std::io::BufWriter::new(file))),
+            path: Some(path),
+            ..cache
+        })
     }
 
-    fn shard(&self, key: &str) -> &Mutex<HashMap<String, Option<u64>>> {
-        &self.shards[(fnv64(key.as_bytes()) as usize) % SHARDS]
+    fn shard(&self, digest: u128) -> &Mutex<HashMap<u128, Option<u64>>> {
+        &self.shards[((digest >> 64) as usize) % SHARDS]
     }
 
     pub fn get(&self, key: &str) -> Option<Option<u64>> {
-        self.shard(key).lock().unwrap().get(key).copied()
+        let d = key_digest(key);
+        self.shard(d).lock().unwrap().get(&d).copied()
     }
 
-    fn insert_mem(&self, key: String, val: Option<u64>) {
-        let newly = self.shard(&key).lock().unwrap().insert(key, val).is_none();
+    fn insert_mem(&self, key: &str, val: Option<u64>) {
+        let d = key_digest(key);
+        let newly = self.shard(d).lock().unwrap().insert(d, val).is_none();
         if newly {
             self.m_points.add(1);
         }
@@ -694,11 +706,12 @@ impl EvalCache {
     /// entry always lands, so results never depend on the fault.
     pub fn insert_with(&self, key: String, val: Option<u64>, faults: Option<&FaultPlan>) {
         self.m_inserts.inc();
-        // Memory first, so a repair rewrite includes this record.
-        self.insert_mem(key.clone(), val);
+        self.insert_mem(&key, val);
         if let Some(disk) = &self.disk {
             let t0 = std::time::Instant::now();
             if self.dirty.swap(false, Ordering::SeqCst) {
+                // The repair rewrite carries this record.
+                self.pending.lock().unwrap().push((key, val));
                 self.rewrite(disk);
             } else {
                 let line = cache_line(&key, val);
@@ -708,6 +721,7 @@ impl EvalCache {
                         // Crash mid-append: half the bytes, no newline.
                         let _ = out.write_all(&line.as_bytes()[..line.len() / 2]);
                         let _ = out.flush();
+                        self.pending.lock().unwrap().push((key, val));
                         self.dirty.store(true, Ordering::SeqCst);
                     }
                     _ => {
@@ -720,25 +734,27 @@ impl EvalCache {
         }
     }
 
-    /// Repair the journal: atomically rewrite every in-memory entry
-    /// (sorted, so the file is deterministic) and reopen the append
-    /// handle on the fresh file.
+    /// Repair the journal: atomically rewrite its well-formed records
+    /// plus the pending ones (one per key, the latest wins; sorted, so
+    /// the file is deterministic) and reopen the append handle on the
+    /// fresh file.
     fn rewrite(&self, disk: &Mutex<std::io::BufWriter<std::fs::File>>) {
         let Some(path) = &self.path else { return };
         let mut out = disk.lock().unwrap();
-        let mut entries: Vec<(String, Option<u64>)> = Vec::new();
-        for shard in &self.shards {
-            for (k, v) in shard.lock().unwrap().iter() {
-                entries.push((k.clone(), *v));
-            }
-        }
-        entries.sort();
+        let _ = out.flush();
+        let mut pending = self.pending.lock().unwrap();
+        let entries: BTreeMap<String, Option<u64>> = read_journal(path)
+            .0
+            .into_iter()
+            .chain(pending.iter().cloned())
+            .collect();
         let mut contents = String::with_capacity(entries.len() * 64);
         for (k, v) in &entries {
             contents.push_str(&cache_line(k, *v));
             contents.push('\n');
         }
         if fault::atomic_write(path, &contents).is_ok() {
+            pending.clear();
             if let Ok(file) = std::fs::OpenOptions::new().append(true).open(path) {
                 *out = std::io::BufWriter::new(file);
             }
@@ -762,6 +778,28 @@ impl EvalCache {
             .map(|s| s.lock().unwrap().len())
             .collect()
     }
+}
+
+/// The well-formed records of a journal in file order, plus the count of
+/// malformed lines (torn appends, bad bytes). A missing file is empty.
+fn read_journal(path: &Path) -> (Vec<(String, Option<u64>)>, u64) {
+    let bytes = std::fs::read(path).unwrap_or_default();
+    let mut entries = Vec::new();
+    let mut malformed = 0u64;
+    for line in bytes.split(|&b| b == b'\n') {
+        let Ok(line) = std::str::from_utf8(line) else {
+            malformed += 1;
+            continue;
+        };
+        if line.trim().is_empty() {
+            continue;
+        }
+        match parse_cache_line(line) {
+            Some(entry) => entries.push(entry),
+            None => malformed += 1,
+        }
+    }
+    (entries, malformed)
 }
 
 /// Serialize one cache entry as a journal line (no trailing newline).
@@ -963,6 +1001,8 @@ pub struct EvalEngine {
     m_worker_deaths: Arc<Counter>,
     m_worker_fallbacks: Arc<Counter>,
     m_worker_proto: Arc<Counter>,
+    m_xsim_runs: Arc<Counter>,
+    m_xsim_insts: Arc<Counter>,
 }
 
 impl EvalEngine {
@@ -1007,6 +1047,8 @@ impl EvalEngine {
             m_worker_deaths: registry.counter(metrics::ENGINE_WORKER_DEATHS),
             m_worker_fallbacks: registry.counter(metrics::ENGINE_WORKER_FALLBACKS),
             m_worker_proto: registry.counter(metrics::ENGINE_WORKER_PROTO_ERRORS),
+            m_xsim_runs: registry.counter(metrics::XSIM_RUNS),
+            m_xsim_insts: registry.counter(metrics::XSIM_INSTS),
             metrics: registry,
         }
     }
@@ -1384,6 +1426,10 @@ impl EvalEngine {
             self.m_batch_wall
                 .observe(batch_start.elapsed().as_micros() as u64);
             for (i, r, us, wtag) in done.into_inner().unwrap() {
+                if let Some(st) = &r.stats {
+                    self.m_xsim_runs.inc();
+                    self.m_xsim_insts.add(st.insts);
+                }
                 results[i] = Some(r.cycles);
                 stats[i] = r.stats;
                 wall_us[i] = us;

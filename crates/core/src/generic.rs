@@ -324,6 +324,7 @@ pub(crate) fn tune_source_with_config(
     let prec = base_compiled.prec;
 
     let mut engine = cfg.engine();
+    crate::driver::count_run(engine.metrics(), &baseline.stats);
     // Arbitrary sources have no registry name: scope the cache by routine
     // name plus a content hash, so two different bodies never collide.
     let label = format!("hil:{}#{:016x}", sess.ir().name, fnv64(src.as_bytes()));
@@ -430,11 +431,11 @@ pub(crate) fn tune_source_with_config(
         }
     }
     let compiled = sess.compile(&result.best, CompileOpts::default())?;
-    let features = run_generic(&compiled, &w, context, machine)
-        .map(|out| ifko_xsim::FeatureVector::from_stats(&out.stats, n as u64))
-        .map_err(CompileError::codegen)?;
+    let winner = run_generic(&compiled, &w, context, machine).map_err(CompileError::codegen)?;
+    let features = ifko_xsim::FeatureVector::from_stats(&winner.stats, n as u64);
     let pipe = sess.stats();
     let reg = engine.metrics();
+    crate::driver::count_run(reg, &winner.stats);
     reg.counter(crate::metrics::PIPE_COMPILES)
         .add(pipe.compiles);
     reg.counter(crate::metrics::PIPE_SUBCACHE_HITS)

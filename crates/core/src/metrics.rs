@@ -645,6 +645,15 @@ pub const PIPE_SUBCACHE_HITS: &str = "ifko_pipeline_subcache_hits_total";
 /// Compiles that ran the full back end.
 pub const PIPE_SUBCACHE_MISSES: &str = "ifko_pipeline_subcache_misses_total";
 
+/// Kernel simulations a tune ran: one per fresh candidate that reached
+/// the simulator (its record carries run counters) plus the tune's own
+/// runs (the recompiled winner; the generic path's baseline). A
+/// candidate failed by an exhausted chaos tester retry budget ran once
+/// but carries no counters and is not counted.
+pub const XSIM_RUNS: &str = "ifko_xsim_runs_total";
+/// Dynamic instructions simulated by the runs in [`XSIM_RUNS`].
+pub const XSIM_INSTS: &str = "ifko_xsim_insts_total";
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -424,32 +424,24 @@ pub(crate) fn blas_eval_point<'a>(
                 }
             }
         }
+        // Time the verification run: the simulator is deterministic, so
+        // the timer protocol applies to its cycle count directly.
         let time_span = eval_span.child("time");
-        let timed = timer.time_robust(
-            &compiled,
-            &args,
-            machine,
+        let t = timer.robust_from(
+            stats.cycles,
+            &compiled.name,
             faults
                 .as_ref()
                 .and_then(|plan| fkey.as_deref().map(|key| (plan, key))),
         );
         drop(time_span);
-        match timed {
-            Ok(t) => EvalRecord {
-                cycles: Some(t.cycles),
-                stats: Some(stats),
-                retries: retries + t.retimed,
-                faults: nfaults + t.injected,
-                outliers: t.outliers_rejected,
-                failed: false,
-            },
-            Err(_) => EvalRecord {
-                cycles: None,
-                stats: Some(stats),
-                retries,
-                faults: nfaults,
-                ..EvalRecord::default()
-            },
+        EvalRecord {
+            cycles: Some(t.cycles),
+            stats: Some(stats),
+            retries: retries + t.retimed,
+            faults: nfaults + t.injected,
+            outliers: t.outliers_rejected,
+            failed: false,
         }
     }
 }

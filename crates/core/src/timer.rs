@@ -4,12 +4,20 @@
 //! interference, each timing was repeated six times and the minimum was
 //! taken").
 //!
-//! The simulator itself is deterministic; to keep the min-of-reps protocol
-//! meaningful (and to let ablations study it), the timer injects
-//! *deterministic synthetic interference*: each repetition inflates the
-//! true cycle count by a pseudo-random factor derived from the repetition
-//! index and a seed. The minimum over repetitions approaches the true
-//! count, exactly like the paper's walltimes.
+//! # One deterministic run, repetitions applied as noise
+//!
+//! The simulator is deterministic: a fresh `Cpu` with flushed caches
+//! produces the same cycle count on every run of the same kernel, so a
+//! timing simulates the kernel **once** and applies the repetitions to
+//! that run's `stats.cycles` arithmetically ([`Timer::min_of_reps`],
+//! [`Timer::robust_from`]). To keep the min-of-reps protocol meaningful
+//! (and to let ablations study it), each repetition inflates the true
+//! cycle count by *deterministic synthetic interference*: a pseudo-random
+//! factor derived from the repetition index and a seed. The minimum over
+//! repetitions approaches the true count, exactly like the paper's
+//! walltimes. Every value is bit-identical to re-simulating each
+//! repetition, because the noise never depended on anything but
+//! `(cycles, name, rep)`.
 //!
 //! # Robust statistics
 //!
@@ -22,7 +30,9 @@
 //! the final minimum. With no faults injected the robust path returns
 //! exactly what [`Timer::time`] returns — the rejection rules never fire
 //! on the timer's own bounded noise — so enabling it under `--chaos`
-//! leaves clean runs bit-identical.
+//! leaves clean runs bit-identical. Chaos spikes key on `(rep, attempt)`
+//! and interference on `rep`, so a re-time re-draws the spike over the
+//! same run instead of simulating again.
 
 use crate::fault::FaultPlan;
 use crate::runner::{run_once, KernelArgs, RunFailure};
@@ -74,28 +84,20 @@ impl Timer {
         }
     }
 
-    /// Time one compiled kernel: returns the minimum observed cycles.
+    /// Time one compiled kernel: simulate it once and return the minimum
+    /// observed cycles over the repetitions ([`Timer::min_of_reps`]).
     pub fn time(
         &self,
         compiled: &CompiledKernel,
         args: &KernelArgs<'_>,
         machine: &MachineConfig,
     ) -> Result<u64, RunFailure> {
-        let mut best = u64::MAX;
-        for rep in 0..self.reps.max(1) {
-            let out = run_once(compiled, args, machine)?;
-            let observed = self.inflate(out.stats.cycles, &compiled.name, rep);
-            best = best.min(observed);
-        }
-        Ok(best)
+        let out = run_once(compiled, args, machine)?;
+        Ok(self.min_of_reps(out.stats.cycles, &compiled.name))
     }
 
     /// [`Timer::time`] with outlier-robust statistics and optional fault
-    /// injection: reps flagged by [`robust_outliers`] are re-timed (up to
-    /// [`MAX_RETIME_ROUNDS`] rounds), reps still flagged after that are
-    /// excluded from the minimum and counted as rejected. `faults` is the
-    /// chaos plan plus the subject key its decisions hash over; `None`
-    /// measures the real pipeline (and then detection alone decides).
+    /// injection ([`Timer::robust_from`] over one simulation).
     pub fn time_robust(
         &self,
         compiled: &CompiledKernel,
@@ -103,25 +105,48 @@ impl Timer {
         machine: &MachineConfig,
         faults: Option<(&FaultPlan, &str)>,
     ) -> Result<TimingReport, RunFailure> {
+        let out = run_once(compiled, args, machine)?;
+        Ok(self.robust_from(out.stats.cycles, &compiled.name, faults))
+    }
+
+    /// The min-of-reps protocol over the true cycle count of one run of
+    /// the kernel called `name`: the minimum of the inflated repetitions.
+    pub fn min_of_reps(&self, cycles: u64, name: &str) -> u64 {
+        (0..self.reps.max(1))
+            .map(|rep| self.inflate(cycles, name, rep))
+            .min()
+            .unwrap_or(cycles)
+    }
+
+    /// The robust protocol over the true cycle count of one run: reps
+    /// flagged by [`robust_outliers`] are re-timed (up to
+    /// [`MAX_RETIME_ROUNDS`] rounds), reps still flagged after that are
+    /// excluded from the minimum and counted as rejected. `faults` is the
+    /// chaos plan plus the subject key its decisions hash over; `None`
+    /// measures the real pipeline (and then detection alone decides).
+    pub fn robust_from(
+        &self,
+        cycles: u64,
+        name: &str,
+        faults: Option<(&FaultPlan, &str)>,
+    ) -> TimingReport {
         let reps = self.reps.max(1) as usize;
         let mut injected = 0u32;
         let mut retimed = 0u32;
-        let measure = |rep: usize, attempt: u32, injected: &mut u32| -> Result<u64, RunFailure> {
-            let out = run_once(compiled, args, machine)?;
-            let mut v = self.inflate(out.stats.cycles, &compiled.name, rep as u32);
+        let measure = |rep: usize, attempt: u32, injected: &mut u32| -> u64 {
+            let mut v = self.inflate(cycles, name, rep as u32);
             if let Some((plan, key)) = faults {
                 if let Some(factor) = plan.timer_spike(key, rep as u32, attempt) {
                     *injected += 1;
                     v = (v as f64 * factor) as u64;
                 }
             }
-            Ok(v)
+            v
         };
         let mut attempts = vec![0u32; reps];
-        let mut vals = vec![0u64; reps];
-        for (rep, v) in vals.iter_mut().enumerate() {
-            *v = measure(rep, 0, &mut injected)?;
-        }
+        let mut vals: Vec<u64> = (0..reps)
+            .map(|rep| measure(rep, 0, &mut injected))
+            .collect();
         for _round in 0..MAX_RETIME_ROUNDS {
             let flags = robust_outliers(&vals, self.interference);
             if !flags.iter().any(|&f| f) {
@@ -131,21 +156,22 @@ impl Timer {
                 if flags[rep] {
                     attempts[rep] += 1;
                     retimed += 1;
-                    vals[rep] = measure(rep, attempts[rep], &mut injected)?;
+                    vals[rep] = measure(rep, attempts[rep], &mut injected);
                 }
             }
         }
         let (cycles, outliers_rejected) = robust_min(&vals, self.interference);
-        Ok(TimingReport {
+        TimingReport {
             cycles,
             outliers_rejected,
             retimed,
             injected,
-        })
+        }
     }
 
-    /// Apply deterministic interference to a true cycle count.
-    fn inflate(&self, cycles: u64, name: &str, rep: u32) -> u64 {
+    /// Apply deterministic interference to a true cycle count: the
+    /// observation of repetition `rep` of the kernel called `name`.
+    pub fn inflate(&self, cycles: u64, name: &str, rep: u32) -> u64 {
         if self.interference <= 0.0 {
             return cycles;
         }

@@ -3,11 +3,13 @@
 //! one third, the median/MAD screen must reject exactly the spikes and
 //! the robust estimate must equal the clean minimum; on a real kernel
 //! the robust path must agree with the paper's min-of-reps and stay
-//! within the interference envelope of [`Timer::exact`].
+//! within the interference envelope of [`Timer::exact`]. The timer's
+//! one-simulation protocol must equal, field by field, a reference that
+//! re-simulates every repetition.
 
 use ifko::prelude::*;
-use ifko::runner::KernelArgs;
-use ifko::timer::{robust_min, robust_outliers};
+use ifko::runner::{run_once, KernelArgs};
+use ifko::timer::{robust_min, robust_outliers, TimingReport};
 use ifko_blas::hil_src::hil_source;
 use ifko_fko::{compile_defaults, CompiledKernel};
 use ifko_xsim::Rng64;
@@ -168,4 +170,128 @@ fn injected_spikes_stay_within_tolerance_of_exact() {
         );
     }
     assert!(injections > 0, "16 seeds at rate 0.33 must inject spikes");
+}
+
+/// The re-simulating reference for [`Timer::time`]: one fresh run per
+/// repetition, minimum of the inflated observations.
+fn resimulated_time(
+    t: &Timer,
+    c: &CompiledKernel,
+    args: &KernelArgs<'_>,
+    m: &MachineConfig,
+) -> u64 {
+    (0..t.reps.max(1))
+        .map(|rep| {
+            let cycles = run_once(c, args, m).unwrap().stats.cycles;
+            t.inflate(cycles, &c.name, rep)
+        })
+        .min()
+        .unwrap()
+}
+
+/// The re-simulating reference for [`Timer::time_robust`]: every
+/// measurement and every re-time is a fresh run, spikes keyed on
+/// `(rep, attempt)`, at most three re-time rounds.
+fn resimulated_time_robust(
+    t: &Timer,
+    c: &CompiledKernel,
+    args: &KernelArgs<'_>,
+    m: &MachineConfig,
+    faults: Option<(&FaultPlan, &str)>,
+) -> TimingReport {
+    let reps = t.reps.max(1) as usize;
+    let mut injected = 0u32;
+    let mut retimed = 0u32;
+    let mut measure = |rep: usize, attempt: u32| {
+        let cycles = run_once(c, args, m).unwrap().stats.cycles;
+        let mut v = t.inflate(cycles, &c.name, rep as u32);
+        if let Some((plan, key)) = faults {
+            if let Some(factor) = plan.timer_spike(key, rep as u32, attempt) {
+                injected += 1;
+                v = (v as f64 * factor) as u64;
+            }
+        }
+        v
+    };
+    let mut attempts = vec![0u32; reps];
+    let mut vals: Vec<u64> = (0..reps).map(|rep| measure(rep, 0)).collect();
+    for _round in 0..3 {
+        let flags = robust_outliers(&vals, t.interference);
+        if !flags.iter().any(|&f| f) {
+            break;
+        }
+        for rep in 0..reps {
+            if flags[rep] {
+                attempts[rep] += 1;
+                retimed += 1;
+                vals[rep] = measure(rep, attempts[rep]);
+            }
+        }
+    }
+    let (cycles, outliers_rejected) = robust_min(&vals, t.interference);
+    TimingReport {
+        cycles,
+        outliers_rejected,
+        retimed,
+        injected,
+    }
+}
+
+/// One simulation per timing is bit-identical to re-simulating every
+/// repetition: four suite kernels, both machines, both contexts, reps
+/// 1/2/6, with and without injected timer spikes.
+#[test]
+fn one_run_protocol_equals_resimulated_reference() {
+    let kernels = [
+        (BlasOp::Dot, Prec::D),
+        (BlasOp::Axpy, Prec::S),
+        (BlasOp::Iamax, Prec::D),
+        (BlasOp::Asum, Prec::S),
+    ];
+    let w = Workload::generate(256, 9);
+    let chaos = FaultPlan::uniform(0x7e57, 0.33);
+    let (mut injected, mut retimed) = (0u32, 0u32);
+    for mach in [p4e(), opteron()] {
+        for (op, prec) in kernels {
+            let compiled = compile_defaults(&hil_source(op, prec), &mach).unwrap();
+            for context in [Context::OutOfCache, Context::InL2] {
+                let args = KernelArgs {
+                    kernel: Kernel { op, prec },
+                    workload: &w,
+                    context,
+                };
+                for reps in [1, 2, 6] {
+                    let t = Timer {
+                        reps,
+                        interference: INTERFERENCE,
+                        seed: 0x5eed,
+                    };
+                    let what = format!("{} {} {context:?} reps={reps}", mach.name, compiled.name);
+                    assert_eq!(
+                        t.time(&compiled, &args, &mach).unwrap(),
+                        resimulated_time(&t, &compiled, &args, &mach),
+                        "{what}: min-of-reps"
+                    );
+                    for faults in [None, Some((&chaos, what.as_str()))] {
+                        let got = t.time_robust(&compiled, &args, &mach, faults).unwrap();
+                        let want = resimulated_time_robust(&t, &compiled, &args, &mach, faults);
+                        let label = format!("{what} chaos={}", faults.is_some());
+                        assert_eq!(got.cycles, want.cycles, "{label}: cycles");
+                        assert_eq!(
+                            got.outliers_rejected, want.outliers_rejected,
+                            "{label}: outliers_rejected"
+                        );
+                        assert_eq!(got.retimed, want.retimed, "{label}: retimed");
+                        assert_eq!(got.injected, want.injected, "{label}: injected");
+                        injected += got.injected;
+                        retimed += got.retimed;
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        injected > 0 && retimed > 0,
+        "the chaos plan must inject spikes and force re-times"
+    );
 }

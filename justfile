@@ -42,10 +42,12 @@ bench-pipeline:
 strategies:
     cargo run --release -p ifko-bench --bin strategies -- --db results/db
 
-# Regenerate every paper table/figure at full scale (slow)
+# Regenerate every paper table/figure at full scale (slow). `--no-cache`:
+# the persistent eval cache's keys carry no source revision, so points
+# cached by an older build must never leak into a reproduction.
 figures:
     for b in table1 table2 table3 figure2 figure3 figure4 figure4b figure5 figure6 figure7; do \
-        cargo run --release -p ifko-bench --bin $b > results/$b.txt; \
+        cargo run --release -p ifko-bench --bin $b -- --no-cache > results/$b.txt; \
     done
 
 # Trace + metrics for a quick figure7 run, then analyze the trace
