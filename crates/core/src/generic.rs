@@ -11,7 +11,7 @@
 
 use crate::config::TuneConfig;
 use crate::eval::{fnv64, EvalRecord, EvalScope, Span};
-use crate::runner::Context;
+use crate::runner::{with_simulator, Context};
 use crate::search::{SearchOptions, SearchResult};
 use crate::strategy::{db_key, STRATEGY_WARM};
 use ifko_fko::{
@@ -67,18 +67,32 @@ pub struct GenericOutputs {
     pub stats: RunStats,
 }
 
-/// Execute a compiled kernel against a generic workload.
+/// Execute a compiled kernel against a generic workload, on this thread's
+/// simulator reset to power-on state ([`with_simulator`]).
 pub fn run_generic(
     compiled: &CompiledKernel,
     w: &GenericWorkload,
     context: Context,
     machine: &MachineConfig,
 ) -> Result<GenericOutputs, String> {
+    let eb = compiled.prec.bytes();
+    let capacity = ((w.n as u64 * eb) * (w.vectors.len() as u64 + 1) + (1 << 20)) as usize;
+    with_simulator(machine, capacity, |cpu, mem| {
+        run_generic_on(compiled, w, context, cpu, mem)
+    })
+}
+
+/// The body of [`run_generic`] on a simulator in power-on state.
+fn run_generic_on(
+    compiled: &CompiledKernel,
+    w: &GenericWorkload,
+    context: Context,
+    cpu: &mut Cpu,
+    mem: &mut Memory,
+) -> Result<GenericOutputs, String> {
     let prec = compiled.prec;
     let eb = prec.bytes();
     let n = w.n;
-    let mut mem =
-        Memory::new(((n as u64 * eb) * (w.vectors.len() as u64 + 1) + (1 << 20)) as usize);
     let addrs: Vec<u64> = w
         .vectors
         .iter()
@@ -99,8 +113,6 @@ pub fn run_generic(
         0
     };
 
-    let mut cpu = Cpu::new(machine.clone());
-    cpu.flush_caches();
     if context == Context::InL2 {
         for a in &addrs {
             cpu.preload_l2(*a, n as u64 * eb);
@@ -124,9 +136,7 @@ pub fn run_generic(
         }
     }
     cpu.set_ireg(IReg(7), frame as i64);
-    let stats = cpu
-        .run(&compiled.program, &mut mem)
-        .map_err(|e| e.to_string())?;
+    let stats = cpu.run(&compiled.program, mem).map_err(|e| e.to_string())?;
 
     let vectors = addrs
         .iter()

@@ -1,11 +1,19 @@
 //! Kernel execution harness: binds a BLAS workload to a compiled kernel's
 //! calling convention, establishes the timing context, runs on the
 //! simulator, and extracts outputs.
+//!
+//! Every run starts from a simulator in the state of `Cpu::new(machine)`
+//! plus `flush_caches` and `Memory::new(capacity)`, but the CPU and memory
+//! are recycled per thread ([`with_simulator`]) instead of rebuilt: a
+//! short in-L2 run would otherwise spend more time allocating and clearing
+//! a 1 MiB L2 model and memory image than interpreting the kernel.
+
+use std::cell::RefCell;
 
 use ifko_blas::{Kernel, RetKind, Workload};
 use ifko_fko::{ArgSlot, CompiledKernel, RetSlot};
 use ifko_xsim::isa::Prec;
-use ifko_xsim::{Cpu, FReg, IReg, Memory, RunStats};
+use ifko_xsim::{Cpu, FReg, IReg, MachineConfig, Memory, RunStats};
 
 /// Memory context of a timing (paper §3: "out-of-cache" N=80000 vs
 /// "in-L2-cache" N=1024).
@@ -61,19 +69,68 @@ impl std::fmt::Display for RunFailure {
 }
 impl std::error::Error for RunFailure {}
 
-/// Execute `compiled` once under `args` on a fresh CPU of the machine it
-/// was compiled for.
+thread_local! {
+    /// This thread's simulator, kept between runs by [`with_simulator`].
+    static SIMULATOR: RefCell<Option<(Cpu, Memory)>> = const { RefCell::new(None) };
+}
+
+/// Run `f` on this thread's simulator, handed over in exactly the state of
+/// a fresh `Cpu::new(machine)` (caches cold) and a fresh
+/// `Memory::new(capacity)`. The pair is kept per thread and recycled
+/// ([`Cpu::reset`], [`Memory::recycle`]); the CPU is rebuilt only when
+/// `machine` differs from the one it was built for. Whatever state `f`
+/// leaves behind — a fault or instruction-limit stop mid-run, a lowered
+/// instruction limit — never reaches the next call. `f` must not call
+/// `with_simulator` itself: the simulator is already lent out.
+pub fn with_simulator<R>(
+    machine: &MachineConfig,
+    capacity: usize,
+    f: impl FnOnce(&mut Cpu, &mut Memory) -> R,
+) -> R {
+    SIMULATOR.with(|slot| {
+        let mut slot = slot.borrow_mut();
+        match &mut *slot {
+            Some((cpu, mem)) => {
+                if cpu.config() == machine {
+                    cpu.reset();
+                } else {
+                    *cpu = Cpu::new(machine.clone());
+                }
+                mem.recycle(capacity);
+            }
+            None => *slot = Some((Cpu::new(machine.clone()), Memory::new(capacity))),
+        }
+        let (cpu, mem) = slot.as_mut().expect("simulator installed above");
+        f(cpu, mem)
+    })
+}
+
+/// Execute `compiled` once under `args` on a simulator of the machine it
+/// was compiled for, reset to power-on state (cold caches, zeroed memory;
+/// see [`with_simulator`]).
 pub fn run_once(
     compiled: &CompiledKernel,
     args: &KernelArgs<'_>,
-    machine: &ifko_xsim::MachineConfig,
+    machine: &MachineConfig,
+) -> Result<Outputs, RunFailure> {
+    let capacity = ((args.workload.n as u64 * args.kernel.prec.bytes() * 2) + (1 << 20)) as usize;
+    with_simulator(machine, capacity, |cpu, mem| {
+        run_on(compiled, args, cpu, mem)
+    })
+}
+
+/// The body of [`run_once`] on a simulator in power-on state.
+fn run_on(
+    compiled: &CompiledKernel,
+    args: &KernelArgs<'_>,
+    cpu: &mut Cpu,
+    mem: &mut Memory,
 ) -> Result<Outputs, RunFailure> {
     let n = args.workload.n;
     let prec = args.kernel.prec;
     let eb = prec.bytes();
 
     // Lay out operands.
-    let mut mem = Memory::new(((n as u64 * eb * 2) + (1 << 20)) as usize);
     let n_vec = args.kernel.op.n_vectors();
     let xaddr = mem.alloc_vector(n.max(1) as u64, eb);
     let yaddr = if n_vec > 1 {
@@ -81,9 +138,9 @@ pub fn run_once(
     } else {
         0
     };
-    store_vec(&mut mem, xaddr, &args.workload.x, prec);
+    store_vec(mem, xaddr, &args.workload.x, prec);
     if n_vec > 1 {
-        store_vec(&mut mem, yaddr, &args.workload.y, prec);
+        store_vec(mem, yaddr, &args.workload.y, prec);
     }
     let frame = if compiled.frame_bytes > 0 {
         mem.alloc(compiled.frame_bytes, 16)
@@ -91,8 +148,6 @@ pub fn run_once(
         0
     };
 
-    let mut cpu = Cpu::new(machine.clone());
-    cpu.flush_caches();
     if args.context == Context::InL2 {
         cpu.preload_l2(xaddr, n as u64 * eb);
         if n_vec > 1 {
@@ -128,7 +183,7 @@ pub fn run_once(
     cpu.set_ireg(IReg(7), frame as i64);
 
     let stats = cpu
-        .run(&compiled.program, &mut mem)
+        .run(&compiled.program, mem)
         .map_err(|e| RunFailure(format!("{}: {e}", compiled.name)))?;
 
     let ret_f = match compiled.ret {
@@ -156,9 +211,9 @@ pub fn run_once(
     Ok(Outputs {
         ret_f,
         ret_i,
-        x: load_vec(&mem, xaddr, n, prec),
+        x: load_vec(mem, xaddr, n, prec),
         y: if n_vec > 1 {
-            load_vec(&mem, yaddr, n, prec)
+            load_vec(mem, yaddr, n, prec)
         } else {
             Vec::new()
         },

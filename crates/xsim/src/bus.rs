@@ -25,7 +25,7 @@ pub enum Dir {
 }
 
 /// Configuration of the bus.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BusCfg {
     /// Sustained bandwidth in bytes per core cycle.
     pub bytes_per_cycle: f64,

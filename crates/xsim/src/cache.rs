@@ -5,6 +5,11 @@
 //! latency hiding — this is what gives prefetch distance its interior
 //! optimum in the empirical search (too small: fill not complete; too
 //! large: line evicted again before use in a small L1).
+//!
+//! Flushing is O(1): every line carries the generation it was filled in,
+//! and only lines of the cache's current generation are valid, so
+//! [`Cache::flush_all`] just starts a new generation. This is what lets
+//! the harness reuse one simulator across runs instead of rebuilding it.
 
 /// Static configuration of one cache level.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -29,7 +34,10 @@ impl CacheCfg {
 #[derive(Clone, Copy, Debug, Default)]
 struct Line {
     tag: u64,
-    valid: bool,
+    /// Generation the line was filled in; the line is valid only while
+    /// this equals the cache's generation. Generation 0 is never current,
+    /// so it marks a line invalid for good.
+    gen: u32,
     dirty: bool,
     /// LRU timestamp (larger = more recently used).
     lru: u64,
@@ -62,10 +70,19 @@ pub struct Cache {
     sets: u64,
     lines: Vec<Line>,
     tick: u64,
+    /// Current generation (never 0).
+    gen: u32,
 }
 
 impl Cache {
     pub fn new(cfg: CacheCfg) -> Self {
+        Self::with_generation(cfg, 1)
+    }
+
+    /// A cache whose current generation is `gen` (tests use this to reach
+    /// the wrap at `u32::MAX` quickly).
+    fn with_generation(cfg: CacheCfg, gen: u32) -> Self {
+        assert!(gen != 0, "generation 0 marks invalid lines");
         let sets = cfg.sets();
         assert!(
             sets.is_power_of_two(),
@@ -78,6 +95,7 @@ impl Cache {
             sets,
             lines: vec![Line::default(); (sets * cfg.assoc) as usize],
             tick: 0,
+            gen,
         }
     }
 
@@ -105,8 +123,9 @@ impl Cache {
         let (set, tag) = self.index(addr);
         self.tick += 1;
         let tick = self.tick;
+        let gen = self.gen;
         for l in self.set_slice(set) {
-            if l.valid && l.tag == tag {
+            if l.gen == gen && l.tag == tag {
                 l.lru = tick;
                 return Probe::Hit {
                     fill_done: l.fill_done,
@@ -122,7 +141,7 @@ impl Cache {
         let a = (set * self.cfg.assoc) as usize;
         self.lines[a..a + self.cfg.assoc as usize]
             .iter()
-            .any(|l| l.valid && l.tag == tag)
+            .any(|l| l.gen == self.gen && l.tag == tag)
     }
 
     /// Insert the line containing `addr`, with its fill completing at
@@ -134,9 +153,10 @@ impl Cache {
         let line_bytes = self.cfg.line;
         let sets = self.sets;
         let set_bits = sets.trailing_zeros() as u64;
+        let gen = self.gen;
         let slice = self.set_slice(set);
         // Already present (e.g. prefetch raced a demand fill): refresh.
-        if let Some(l) = slice.iter_mut().find(|l| l.valid && l.tag == tag) {
+        if let Some(l) = slice.iter_mut().find(|l| l.gen == gen && l.tag == tag) {
             l.lru = tick;
             l.dirty |= dirty;
             l.fill_done = l.fill_done.min(fill_done);
@@ -145,9 +165,9 @@ impl Cache {
         // Choose victim: invalid first, else LRU.
         let victim = slice
             .iter_mut()
-            .min_by_key(|l| if l.valid { (1, l.lru) } else { (0, 0) })
+            .min_by_key(|l| if l.gen == gen { (1, l.lru) } else { (0, 0) })
             .expect("assoc >= 1");
-        let evicted = if victim.valid {
+        let evicted = if victim.gen == gen {
             let old_lineno = (victim.tag << set_bits) | set;
             Some(Evicted {
                 addr: old_lineno * line_bytes,
@@ -158,7 +178,7 @@ impl Cache {
         };
         *victim = Line {
             tag,
-            valid: true,
+            gen,
             dirty,
             lru: tick,
             fill_done,
@@ -172,8 +192,9 @@ impl Cache {
         let (set, tag) = self.index(addr);
         self.tick += 1;
         let tick = self.tick;
+        let gen = self.gen;
         for l in self.set_slice(set) {
-            if l.valid && l.tag == tag {
+            if l.gen == gen && l.tag == tag {
                 l.dirty = true;
                 l.lru = tick;
                 return true;
@@ -187,12 +208,11 @@ impl Cache {
     pub fn invalidate(&mut self, addr: u64) -> Option<Evicted> {
         let (set, tag) = self.index(addr);
         let line_bytes = self.cfg.line;
+        let gen = self.gen;
         for l in self.set_slice(set) {
-            if l.valid && l.tag == tag {
+            if l.gen == gen && l.tag == tag {
                 let dirty = l.dirty;
-                l.valid = false;
-                l.dirty = false;
-                let _ = line_bytes;
+                l.gen = 0;
                 return Some(Evicted {
                     addr: addr / line_bytes * line_bytes,
                     dirty,
@@ -203,16 +223,21 @@ impl Cache {
     }
 
     /// Drop all contents (cold-cache setup for out-of-cache timings).
+    /// O(1): starting a new generation invalidates every line at once. The
+    /// lines are rewritten only when the generation counter wraps, so a
+    /// line stamped before the wrap can never match again.
     pub fn flush_all(&mut self) {
-        for l in &mut self.lines {
-            *l = Line::default();
+        self.gen = self.gen.wrapping_add(1);
+        if self.gen == 0 {
+            self.lines.fill(Line::default());
+            self.gen = 1;
         }
         self.tick = 0;
     }
 
     /// Number of valid lines (test/diagnostic helper).
     pub fn resident_lines(&self) -> usize {
-        self.lines.iter().filter(|l| l.valid).count()
+        self.lines.iter().filter(|l| l.gen == self.gen).count()
     }
 }
 
@@ -220,14 +245,16 @@ impl Cache {
 mod tests {
     use super::*;
 
+    // 4 sets x 2 ways x 64B = 512B
+    const TINY: CacheCfg = CacheCfg {
+        size: 512,
+        line: 64,
+        assoc: 2,
+        latency: 3,
+    };
+
     fn tiny() -> Cache {
-        // 4 sets x 2 ways x 64B = 512B
-        Cache::new(CacheCfg {
-            size: 512,
-            line: 64,
-            assoc: 2,
-            latency: 3,
-        })
+        Cache::new(TINY)
     }
 
     #[test]
@@ -299,6 +326,63 @@ mod tests {
         c.flush_all();
         assert_eq!(c.resident_lines(), 0);
         assert_eq!(c.probe(0x0000), Probe::Miss);
+    }
+
+    #[test]
+    fn stale_generation_lines_are_invisible() {
+        let mut c = tiny();
+        // Fill both ways of set 0, one of them dirty.
+        c.insert(0x0000, 7, true);
+        c.insert(0x0100, 7, false);
+        c.flush_all();
+        assert!(!c.peek(0x0000));
+        assert!(!c.peek(0x0100));
+        assert!(!c.mark_dirty(0x0000), "stale line must not take a write");
+        assert!(
+            c.invalidate(0x0000).is_none(),
+            "stale line is not evictable"
+        );
+        assert_eq!(c.probe(0x0100), Probe::Miss);
+        assert_eq!(c.resident_lines(), 0);
+        // Victim choice treats stale lines as free ways: filling the set
+        // again reports no eviction, not even of the stale dirty line.
+        assert_eq!(c.insert(0x0200, 0, false), None);
+        assert_eq!(c.insert(0x0300, 0, false), None);
+        assert_eq!(c.resident_lines(), 2);
+        // Only now does a third line evict, and it evicts a live line.
+        let ev = c.insert(0x0400, 0, false).expect("set full");
+        assert_eq!(ev.addr, 0x0200);
+        assert!(!ev.dirty);
+        // An invalidated line is free again and never comes back.
+        assert!(c.invalidate(0x0300).is_some());
+        assert!(!c.peek(0x0300));
+        assert_eq!(c.insert(0x0500, 0, false), None);
+    }
+
+    #[test]
+    fn generation_wrap_clears_lines() {
+        let mut c = Cache::with_generation(TINY, u32::MAX - 1);
+        c.insert(0x0000, 0, true);
+        c.flush_all();
+        assert_eq!(c.gen, u32::MAX);
+        assert_eq!(c.resident_lines(), 0);
+        c.insert(0x0040, 0, false);
+        assert!(c.peek(0x0040));
+        c.flush_all();
+        assert_eq!(c.gen, 1, "the wrap skips generation 0");
+        assert_eq!(c.resident_lines(), 0);
+        assert_eq!(c.probe(0x0040), Probe::Miss);
+        assert_eq!(c.insert(0x0000, 0, false), None);
+
+        // A line stamped with generation 1 before the wrap must not come
+        // back when the counter returns to 1.
+        let mut old = tiny();
+        old.insert(0x0080, 0, true);
+        old.gen = u32::MAX;
+        old.flush_all();
+        assert_eq!(old.gen, 1);
+        assert!(!old.peek(0x0080));
+        assert_eq!(old.resident_lines(), 0);
     }
 
     #[test]

@@ -287,6 +287,28 @@ impl Cpu {
         f32::from_le_bytes(self.fregs[r.0 as usize][0..4].try_into().unwrap())
     }
 
+    /// Return to exactly the state of `Cpu::new(cfg)` followed by
+    /// [`flush_caches`](Cpu::flush_caches), keeping the allocations: one
+    /// simulator can then serve any number of independent runs. Registers,
+    /// flags, ready times, the branch predictor, stats and the instruction
+    /// limit go back to their defaults; the caches, bus, write-combining
+    /// buffers and hardware prefetcher are flushed.
+    pub fn reset(&mut self) {
+        self.flush_caches();
+        self.iregs = [0; NUM_IREGS];
+        self.fregs = [[0; 16]; NUM_FREGS];
+        self.ireg_ready = [0; NUM_IREGS];
+        self.freg_ready = [0; NUM_FREGS];
+        self.flags = 0;
+        self.flags_ready = 0;
+        self.cycle = 0;
+        self.slots = 0;
+        self.width = 3;
+        self.predictor.clear();
+        self.stats = RunStats::default();
+        self.inst_limit = DEFAULT_INST_LIMIT;
+    }
+
     /// Cold-cache setup: empty both cache levels and idle the bus.
     pub fn flush_caches(&mut self) {
         self.l1.flush_all();

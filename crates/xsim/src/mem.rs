@@ -4,6 +4,10 @@
 //! are plain `u64` offsets from a nonzero base so that accidental
 //! null-pointer style bugs in generated code trap instead of silently
 //! reading byte 0.
+//!
+//! A memory can be reused for another run with [`Memory::recycle`], which
+//! zeroes only what was written, so a short run does not pay for clearing
+//! (or faulting in) a large buffer it never touched.
 
 /// Default base address of the allocatable region. Chosen to be
 /// page- and line-aligned and nonzero.
@@ -13,7 +17,12 @@ pub const DEFAULT_BASE: u64 = 0x1_0000;
 #[derive(Clone, Debug)]
 pub struct Memory {
     base: u64,
+    /// Backing store; at least `cap` bytes, all zero past `written`.
     bytes: Vec<u8>,
+    /// Addressable bytes: accesses past `base + cap` fault.
+    cap: usize,
+    /// End offset of the highest byte written since the last recycle.
+    written: usize,
     next: u64,
 }
 
@@ -37,13 +46,31 @@ impl Memory {
         Memory {
             base: DEFAULT_BASE,
             bytes: vec![0; capacity],
+            cap: capacity,
+            written: 0,
             next: DEFAULT_BASE,
         }
     }
 
+    /// Return to the state of `Memory::new(capacity)`: all zero, nothing
+    /// allocated, faulting exactly past `capacity` bytes. Only the prefix
+    /// up to the highest byte written is cleared; a buffer too small is
+    /// replaced by a fresh zeroed one rather than grown, so untouched
+    /// slack is never written (and never made resident).
+    pub fn recycle(&mut self, capacity: usize) {
+        if capacity > self.bytes.len() {
+            self.bytes = vec![0; capacity];
+        } else {
+            self.bytes[..self.written].fill(0);
+        }
+        self.cap = capacity;
+        self.written = 0;
+        self.next = self.base;
+    }
+
     /// Total capacity in bytes.
     pub fn capacity(&self) -> usize {
-        self.bytes.len()
+        self.cap
     }
 
     /// First valid address.
@@ -59,7 +86,7 @@ impl Memory {
         let addr = (self.next + align - 1) & !(align - 1);
         let end = addr + len;
         assert!(
-            end - self.base <= self.bytes.len() as u64,
+            end - self.base <= self.cap as u64,
             "xsim memory exhausted: need {} bytes past 0x{:x}",
             len,
             addr
@@ -68,15 +95,16 @@ impl Memory {
         addr
     }
 
-    /// Allocate and zero-fill a vector of `n` elements of `elem_bytes`,
-    /// aligned to 16 bytes (SIMD) by default.
+    /// Allocate a vector of `n` elements of `elem_bytes`, aligned to a
+    /// 64-byte cache line (which also satisfies SIMD alignment). Fresh
+    /// memory is zero, so the vector starts zero-filled.
     pub fn alloc_vector(&mut self, n: u64, elem_bytes: u64) -> u64 {
         self.alloc(n * elem_bytes, 64)
     }
 
     #[inline]
     fn offset(&self, addr: u64, len: u64) -> Result<usize, MemFault> {
-        if addr < self.base || addr + len > self.base + self.bytes.len() as u64 {
+        if addr < self.base || addr + len > self.base + self.cap as u64 {
             return Err(MemFault { addr, len });
         }
         Ok((addr - self.base) as usize)
@@ -96,6 +124,7 @@ impl Memory {
     pub fn write<const N: usize>(&mut self, addr: u64, val: [u8; N]) -> Result<(), MemFault> {
         let off = self.offset(addr, N as u64)?;
         self.bytes[off..off + N].copy_from_slice(&val);
+        self.written = self.written.max(off + N);
         Ok(())
     }
 
@@ -149,11 +178,6 @@ impl Memory {
     pub fn load_f32_slice(&self, addr: u64, n: usize) -> Result<Vec<f32>, MemFault> {
         (0..n).map(|i| self.read_f32(addr + 4 * i as u64)).collect()
     }
-
-    /// Reset the allocator (keeps capacity, zeroes nothing).
-    pub fn reset_alloc(&mut self) {
-        self.next = self.base;
-    }
 }
 
 #[cfg(test)]
@@ -197,6 +221,50 @@ mod tests {
         assert!(m.read_f64(0).is_err());
         assert!(m.read_f64(DEFAULT_BASE + 60).is_err());
         assert!(m.read_f64(DEFAULT_BASE + 56).is_ok());
+    }
+
+    /// `m` reads as fresh memory of `cap` bytes: zero everywhere, with the
+    /// fault boundary at exactly `cap`.
+    fn assert_fresh(m: &Memory, cap: u64) {
+        assert_eq!(m.capacity() as u64, cap);
+        for off in (0..cap).step_by(8) {
+            assert_eq!(m.read_i64(DEFAULT_BASE + off), Ok(0), "offset {off}");
+        }
+        assert!(m.read::<1>(DEFAULT_BASE + cap - 1).is_ok());
+        assert!(m.read::<1>(DEFAULT_BASE + cap).is_err());
+        assert!(m.read_i64(DEFAULT_BASE + cap - 4).is_err());
+    }
+
+    #[test]
+    fn recycle_zeroes_writes_into_the_slack() {
+        let mut m = Memory::new(4096);
+        let a = m.alloc_vector(4, 8);
+        m.store_f64_slice(a, &[1.0, 2.0, 3.0, 4.0]).unwrap();
+        // Past every allocation but inside the capacity: slack.
+        m.write_i64(DEFAULT_BASE + 4088, -1).unwrap();
+        m.recycle(4096);
+        assert_fresh(&m, 4096);
+        assert_eq!(m.alloc_vector(4, 8), a, "allocator starts over");
+    }
+
+    #[test]
+    fn recycle_matches_new_when_shrinking_and_growing() {
+        let mut m = Memory::new(4096);
+        m.write_i64(DEFAULT_BASE + 4000, 7).unwrap();
+        // Shrink: the old bytes past the new end must fault, not read back.
+        m.recycle(1024);
+        assert_fresh(&m, 1024);
+        assert!(m.write_i64(DEFAULT_BASE + 4000, 1).is_err());
+        m.write_i64(DEFAULT_BASE + 1016, 9).unwrap();
+        // Grow past the backing store.
+        m.recycle(8192);
+        assert_fresh(&m, 8192);
+        // Grow back within the backing store after a shrink.
+        m.write_i64(DEFAULT_BASE + 8184, 3).unwrap();
+        m.recycle(16);
+        assert_fresh(&m, 16);
+        m.recycle(8192);
+        assert_fresh(&m, 8192);
     }
 
     #[test]

@@ -563,3 +563,53 @@ fn mem_operand_form_saves_instructions_and_time_in_cache() {
         ss.cycles
     );
 }
+
+#[test]
+fn reset_matches_a_fresh_cpu() {
+    use ifko_xsim::isa::{NUM_FREGS, NUM_IREGS};
+    let n = 2048;
+    let prog = ddot_prefetch_prog(256, PrefKind::Nta);
+    for machine in [p4e(), opteron()] {
+        // Leave every kind of state behind: warm caches, a trained
+        // predictor and hardware prefetcher, dirty registers, a tiny
+        // instruction limit and the stats of a failed run.
+        let mut used = Cpu::new(machine.clone());
+        let (mut m, x, y) = mem_with_vec(n);
+        used.preload_all(x, (n * 8) as u64);
+        used.set_ireg(X, x as i64);
+        used.set_ireg(Y, y as i64);
+        used.set_ireg(N, n as i64);
+        used.set_ireg(IReg(5), -9);
+        used.set_freg_f64(FReg(3), 2.5);
+        used.run(&prog, &mut m).unwrap();
+        used.set_inst_limit(100);
+        used.set_ireg(X, x as i64);
+        used.set_ireg(Y, y as i64);
+        used.set_ireg(N, n as i64);
+        assert!(used.run(&prog, &mut m).is_err());
+        used.reset();
+
+        let mut fresh = Cpu::new(machine);
+        fresh.flush_caches();
+        assert!(!used.l1_resident(x) && !used.l2_resident(x));
+        for r in 0..NUM_IREGS as u8 {
+            assert_eq!(used.ireg(IReg(r)), fresh.ireg(IReg(r)));
+        }
+        for r in 0..NUM_FREGS as u8 {
+            assert_eq!(used.freg_f64(FReg(r)), fresh.freg_f64(FReg(r)));
+        }
+        // Identical cold runs: same stats, same result, and the default
+        // instruction limit is back.
+        for cpu in [&mut used, &mut fresh] {
+            cpu.set_ireg(X, x as i64);
+            cpu.set_ireg(Y, y as i64);
+            cpu.set_ireg(N, n as i64);
+        }
+        let (mut m1, _, _) = mem_with_vec(n);
+        let (mut m2, _, _) = mem_with_vec(n);
+        let a = used.run(&prog, &mut m1).unwrap();
+        let b = fresh.run(&prog, &mut m2).unwrap();
+        assert_eq!(a, b);
+        assert_eq!(used.freg_f64(FReg(7)), fresh.freg_f64(FReg(7)));
+    }
+}

@@ -34,6 +34,14 @@ cargo run --release -p ifko-bench --bin table3 -- --quick \
 test -s "$obs_tmp/table3.jsonl"
 grep -q ifko_engine_evals_total "$obs_tmp/table3-metrics.json"
 
+step "byte identity: table3 --quick --no-cache vs golden"
+# The quick Table 3 is deterministic; any change to its winners means the
+# compiler, simulator or search changed behaviour. Regenerate the golden
+# only for a change that is meant to move results.
+cargo run --release -p ifko-bench --bin table3 -- --quick --no-cache \
+    > "$obs_tmp/table3-quick.txt"
+diff -u tests/golden/table3-quick.txt "$obs_tmp/table3-quick.txt"
+
 step "harness smoke: ifko report (trace analyzer)"
 cargo run --release -p ifko-cli -- report "$obs_tmp/table3.jsonl" | grep -q "stage time attribution"
 cargo run --release -p ifko-cli -- report "$obs_tmp/table3.jsonl" --format json >/dev/null
